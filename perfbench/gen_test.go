@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 )
 
@@ -36,21 +38,6 @@ func TestSeededGeneration(t *testing.T) {
 	}
 }
 
-// TestRequestsForIsFixed checks that the stream length depends only on
-// the workload and the run length, never on the seed or the rate.
-func TestRequestsForIsFixed(t *testing.T) {
-	for _, s := range specs {
-		n := s.requestsFor(20)
-		st, err := generate(s, 3, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(st.reqs) != n || len(st.arrivals) != n {
-			t.Fatalf("%s: stream has %d requests, want %d", s.name, len(st.reqs), n)
-		}
-	}
-}
-
 // TestQuartilesMatchPython pins quartiles to Python's
 // statistics.quantiles(data, n=4) on a known input.
 func TestQuartilesMatchPython(t *testing.T) {
@@ -60,4 +47,20 @@ func TestQuartilesMatchPython(t *testing.T) {
 	if q1 != 2.75 || q2 != 5.5 || q3 != 8.25 {
 		t.Fatalf("quartiles = %v %v %v, want 2.75 5.5 8.25", q1, q2, q3)
 	}
+}
+
+// encode writes the stream's seed SQL, wire bytes and schedule in a
+// canonical form; the seeded-generation test compares it across runs.
+func (st *stream) encode(wr io.Writer) error {
+	for _, q := range st.w.Seed {
+		if _, err := fmt.Fprintf(wr, "seed %q\n", q); err != nil {
+			return err
+		}
+	}
+	for i, r := range st.reqs {
+		if _, err := fmt.Fprintf(wr, "%d %.9f %s %q %q %q\n", i, st.arrivals[i], r.Method, r.Target, r.Body, r.Cookie); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -225,19 +225,3 @@ func (st *stream) offsets(from int, rate float64) []time.Duration {
 	}
 	return out
 }
-
-// encode writes the stream's seed SQL, wire bytes and schedule in a
-// canonical form; the seeded-generation test compares it across runs.
-func (st *stream) encode(wr io.Writer) error {
-	for _, q := range st.w.Seed {
-		if _, err := fmt.Fprintf(wr, "seed %q\n", q); err != nil {
-			return err
-		}
-	}
-	for i, r := range st.reqs {
-		if _, err := fmt.Fprintf(wr, "%d %.9f %s %q %q %q\n", i, st.arrivals[i], r.Method, r.Target, r.Body, r.Cookie); err != nil {
-			return err
-		}
-	}
-	return nil
-}
