@@ -119,6 +119,8 @@ func (r *report) print() {
 	for _, n := range r.notes {
 		fmt.Println(n)
 	}
+	fmt.Printf("operations (requests sent plus epochs audited): %d attempted, %d failed (%.3f%%)\n",
+		r.attempted, r.failed, 100*float64(r.failed)/float64(max(1, r.attempted)))
 	for _, m := range r.metrics {
 		fmt.Printf("metric %-32s %14.4f %s\n", m.name, m.value, m.unit)
 	}

@@ -29,7 +29,7 @@ type spec struct {
 }
 
 var specs = []spec{
-	{name: "wiki", refRate: 200, ladder: []float64{500, 700, 900, 1100}, build: buildWiki},
+	{name: "wiki", refRate: 200, ladder: []float64{550, 800, 1050, 1300}, build: buildWiki},
 	{name: "forum", refRate: 250, ladder: []float64{800, 1050, 1300, 1550}, build: buildForum},
 	{name: "hotcrp", refRate: 150, ladder: []float64{400, 550, 700, 850}, build: buildHotCRP},
 }
