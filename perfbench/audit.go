@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -80,16 +78,6 @@ func (a chainAudit) fullEpochMS() float64 {
 		times[i] = ms(v.AuditTime)
 	}
 	return median(times)
-}
-
-// resetAudit removes what an audit wrote into a sealed chain — its
-// decision log and checkpoints — so that the chain can be audited again
-// from scratch.
-func resetAudit(dir string) error {
-	if err := os.Remove(filepath.Join(dir, epoch.DecisionLogName)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return os.RemoveAll(filepath.Join(dir, "checkpoints"))
 }
 
 // sealedBodies returns the FNV-64a hashes of every response body the

@@ -8,15 +8,17 @@
 // every metric by name and unit. The last line of standard output is
 // one JSON object: {"correct", "attempted", "failed", "metrics"}.
 //
-//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 22 --trace 0
-//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 22 --trace 1
-//	bash perfbench/run.sh --workload forum --steady 10 --seconds 22
+//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 26 --trace 0
+//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 26 --trace 1
+//	bash perfbench/run.sh --workload forum --seed 1 --seconds 26 --steady 10
+//	bash perfbench/run.sh --workload forum --seed 1 --seconds 26 --steady 10 --sweep
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 runs the traced
 // variant and prints the per-layer metrics. --steady k runs the
-// workload k times with consecutive seeds and prints each end-to-end
-// metric's median, quartiles and spread next to its bound in
-// BENCHMARK.json. See README.md for what every metric means.
+// workload k times with the same seed (with --sweep, with consecutive
+// seeds) and prints each end-to-end metric's median, quartiles and
+// spread next to its bound in BENCHMARK.json. See README.md for what
+// every metric means.
 package main
 
 import (
@@ -31,9 +33,10 @@ import (
 func main() {
 	name := flag.String("workload", "wiki", "workload: wiki, forum or hotcrp")
 	seed := flag.Int64("seed", 1, "workload seed: the request stream and its arrival times derive from it")
-	seconds := flag.Int("seconds", 22, "nominal serving time of the run's schedule of rates; fixes the stream length")
+	seconds := flag.Int("seconds", 26, "nominal serving time of the run's schedule of rates; fixes the stream length")
 	traced := flag.Int("trace", 0, "1 = traced run printing the per-layer metrics")
-	steady := flag.Int("steady", 0, "run the workload this many times with consecutive seeds and print each end-to-end metric's spread")
+	steady := flag.Int("steady", 0, "run the workload this many times with --seed and print each end-to-end metric's spread")
+	sweep := flag.Bool("sweep", false, "with --steady, give the runs consecutive seeds from --seed on")
 	flag.Parse()
 
 	s, err := specByName(*name)
@@ -47,7 +50,7 @@ func main() {
 		fail(fmt.Errorf("--trace must be 0 or 1"))
 	}
 	if *steady > 0 {
-		if err := steadiness(s.name, *seed, *seconds, *steady); err != nil {
+		if err := steadiness(s.name, *seed, *seconds, *steady, *sweep); err != nil {
 			fail(err)
 		}
 		return

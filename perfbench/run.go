@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"orochi/internal/epoch"
@@ -20,16 +21,15 @@ const (
 	// conns is the generator's keep-alive connection (and goroutine)
 	// count: the host's two cores.
 	conns = 2
-	// epochEvents seals an epoch every 1024 trace events (512
-	// requests), so that every rung's chain holds full epochs, cut
-	// while serving, and epoch_verdict_p50_ms is a median over many.
-	epochEvents = 1024
+	// epochEvents seals an epoch every 512 trace events (256
+	// requests), so that every rung's chain holds several full epochs,
+	// cut and sealed while serving, and epoch_verdict_p50_ms is a median
+	// over many. Sealing then loads the host steadily through a rung
+	// instead of in one burst whose overlap with the requests decides
+	// the rung's p90.
+	epochEvents = 512
 	// canaryRequests is the length of the tamper canary's stream.
 	canaryRequests = 40
-	// auditRepeats is how many times an untraced run audits each sealed
-	// chain from scratch. Auditing is fast next to serving, so repeating
-	// it is a cheap way to give the audit metrics more samples.
-	auditRepeats = 3
 )
 
 // served is one rung's serving and auditing outcome.
@@ -37,9 +37,8 @@ type served struct {
 	rung     rungResult
 	setup    time.Duration
 	closeDur time.Duration
-	audit    chainAudit   // the first audit of the chain
-	audits   []chainAudit // every audit of the chain, the first included
-	answered int          // requests the stack answered, the warm-up included
+	audit    chainAudit
+	answered int // requests the stack answered, the warm-up included
 	stored   int64
 	chunks   int
 	logical  int64 // bytes the sealed manifests pin
@@ -51,9 +50,9 @@ type served struct {
 }
 
 // serveRung sets up a fresh stack in dir, serves the stream at rate,
-// seals the chain and audits it `audits` times, and checks that every
-// audit accepted exactly what the clients received.
-func serveRung(ctx context.Context, st *stream, prog *lang.Program, rate float64, dir string, spans *spanTable, obs verifier.Observer, audits int, rep *report) (*served, error) {
+// seals the chain and audits it, and checks that the audit accepted
+// exactly what the clients received.
+func serveRung(ctx context.Context, st *stream, prog *lang.Program, rate float64, dir string, spans *spanTable, obs verifier.Observer, rep *report) (*served, error) {
 	stk, setup, err := startStack(st.w, st.reqs[0], dir, stackOptions{epochEvents: epochEvents, spans: spans})
 	if err != nil {
 		return nil, err
@@ -73,19 +72,9 @@ func serveRung(ctx context.Context, st *stream, prog *lang.Program, rate float64
 	if spans != nil {
 		out.serveAllocs = readRuntime().mallocs - m0.mallocs
 	}
-	for k := 0; k < audits; k++ {
-		if k > 0 {
-			if err := resetAudit(dir); err != nil {
-				return nil, err
-			}
-		}
-		a, err := auditChain(ctx, prog, dir, obs, spans != nil)
-		if err != nil {
-			return nil, err
-		}
-		out.audits = append(out.audits, a)
+	if out.audit, err = auditChain(ctx, prog, dir, obs, spans != nil); err != nil {
+		return nil, err
 	}
-	out.audit = out.audits[0]
 	store, err := epoch.OpenChainStore(dir)
 	if err != nil {
 		return nil, err
@@ -102,17 +91,15 @@ func serveRung(ctx context.Context, st *stream, prog *lang.Program, rate float64
 	// response bytes the audit verified.
 	rep.attempted += 1 + r.sent
 	rep.failed += r.failed
-	for _, a := range out.audits {
-		rejected := 0
-		for _, v := range a.verdicts {
-			if !v.Accepted {
-				rejected++
-			}
+	rejected := 0
+	for _, v := range out.audit.verdicts {
+		if !v.Accepted {
+			rejected++
 		}
-		rep.attempted += len(a.verdicts)
-		rep.failed += rejected
-		rep.check(a.accepted && rejected == 0, "rate %4.0f: %d epochs audited, %d rejected", rate, len(a.verdicts), rejected)
 	}
+	rep.attempted += len(out.audit.verdicts)
+	rep.failed += rejected
+	rep.check(out.audit.accepted && rejected == 0, "rate %4.0f: %d epochs audited, %d rejected", rate, len(out.audit.verdicts), rejected)
 	rep.check(out.audit.requests == out.answered, "rate %4.0f: sealed %d requests, answered %d (%d failed)", rate, out.audit.requests, out.answered, r.failed)
 	sealedHashes, err := sealedBodies(dir)
 	if err != nil {
@@ -177,7 +164,6 @@ func runServeAudit(ctx context.Context, s spec, seed int64, seconds int, work st
 	if err != nil {
 		return nil, err
 	}
-	steal0 := hostCPU()
 	rep.note("workload %s seed %d: %d requests per rung, schedule %v req/s, p90 limit %.0f ms, %d connections",
 		s.name, seed, n, s.schedule(), limitMS, conns)
 	warmSetup, err := warmUp(st, filepath.Join(work, "warm-up"))
@@ -188,7 +174,7 @@ func runServeAudit(ctx context.Context, s spec, seed int64, seconds int, work st
 	var rungs []*served
 	for k, rate := range s.schedule() {
 		dir := filepath.Join(work, fmt.Sprintf("rung-%d", k))
-		sv, err := serveRung(ctx, st, prog, rate, dir, nil, nil, auditRepeats, rep)
+		sv, err := serveRung(ctx, st, prog, rate, dir, nil, nil, rep)
 		if err != nil {
 			return nil, fmt.Errorf("rung %.0f req/s: %w", rate, err)
 		}
@@ -202,31 +188,33 @@ func runServeAudit(ctx context.Context, s spec, seed int64, seconds int, work st
 	}
 	setups = append(setups, canarySetup.Seconds())
 
-	// The reference latencies are medians over the reference rungs'
-	// windows, and the CPU cost is the best of the rungs: the host's
-	// noise (CPU steal, neighbours) only ever adds latency and CPU time,
-	// and the rungs are spread across the run, so a noisy stretch spoils
-	// a few windows or one rung, not the figure.
-	var p50, p90, p99, cpu []float64
+	// The reference rungs serve the same requests on the same arrival
+	// schedule with the same epoch cuts, so a window of the stream reads
+	// the same in each of them but for the host's noise (CPU steal,
+	// neighbours), which only ever adds latency and CPU time. So each
+	// window counts with its best reading over the reference rungs, the
+	// latency figures are the median over the windows, and the CPU cost
+	// is the best of the rungs.
+	var p50, p90 [][]float64
+	var p99, cpu []float64
 	var storage, auditRate, auditCPU, verdictMS []float64
 	for _, sv := range rungs {
 		r := sv.rung
 		if r.rate == s.refRate {
-			p50 = append(p50, windowPercentiles(r.latency, 0.50)...)
-			p90 = append(p90, windowPercentiles(r.latency, 0.90)...)
+			p50 = append(p50, windowPercentiles(r.latency, 0.50))
+			p90 = append(p90, windowPercentiles(r.latency, 0.90))
 			p99 = append(p99, ms(percentile(r.latency, 0.99)))
 			cpu = append(cpu, us(r.cpu)/float64(r.sent-r.failed))
 		}
 		storage = append(storage, float64(sv.stored)/float64(sv.audit.requests))
-		for _, a := range sv.audits {
-			auditRate = append(auditRate, float64(a.requests)/a.wall.Seconds())
-			auditCPU = append(auditCPU, us(a.cpu)/float64(a.requests))
-			verdictMS = append(verdictMS, a.fullEpochMS())
-		}
+		a := sv.audit
+		auditRate = append(auditRate, float64(a.requests)/a.wall.Seconds())
+		auditCPU = append(auditCPU, us(a.cpu)/float64(a.requests))
+		verdictMS = append(verdictMS, a.fullEpochMS())
 	}
 	rep.add("setup_s", "s", median(setups))
-	rep.add("serve_p50_ms", "ms", median(p50))
-	rep.add("serve_p90_ms", "ms", median(p90))
+	rep.add("serve_p50_ms", "ms", median(bestPerWindow(p50)))
+	rep.add("serve_p90_ms", "ms", median(bestPerWindow(p90)))
 	rep.add("serve_max_rps", "1/s", maxRate(s, rungs, rep))
 	rep.add("serve_cpu_us_per_req", "us", slices.Min(cpu))
 	rep.add("storage_bytes_per_req", "B", median(storage))
@@ -235,79 +223,97 @@ func runServeAudit(ctx context.Context, s spec, seed int64, seconds int, work st
 	rep.add("epoch_verdict_p50_ms", "ms", median(verdictMS))
 	rep.add("peak_rss_mb", "MB", peakRSSMB())
 
-	rep.note("reference rate %.0f req/s, %d samples per rung: window p50 %s ms; window p90 %s ms; rung CPU %s us/req; rung p99 %s ms (a diagnostic, not gated)",
-		s.refRate, n-1, floats(p50, 2), floats(p90, 2), floats(cpu, 0), floats(p99, 3))
+	for k := range p50 {
+		rep.note("reference rung %d, %d samples: window p50 %s ms; window p90 %s ms; CPU %.0f us/req; p99 %.3f ms (a diagnostic, not gated)",
+			k+1, n-1, floats(p50[k], 2), floats(p90[k], 2), cpu[k], p99[k])
+	}
 	rep.note("setup samples (s): %s", floats(setups, 4))
 	rep.note("per drain: audit %s req/s; median full-epoch verifier time %s ms", floats(auditRate, 0), floats(verdictMS, 1))
-	if share, ok := stealShare(steal0, hostCPU()); ok {
-		rep.note("host CPU steal over the run: %.1f%%", share)
-	}
 	return rep, nil
 }
 
-// maxRate is serve_max_rps: the highest rate at which the p90 latency
-// meets the workload's limit and no request fails. Latency counts from
-// the due time, so a backlog that grows over a rung fails the limit
-// too. A rung's p90 is the median of the p90s of its windows of
-// windowRequests consecutive requests: near saturation one stall (a GC
-// cycle, an epoch seal, the host stealing the CPU) queues a share of a
-// short rung large enough to decide its whole-rung p90, while a
-// sustained overload fails every window. A rate served several times
-// counts with the median over all its rungs' windows. The p90s are made
-// non-decreasing in the rate, and between the highest passing rate and
-// the next one up, log(p90) is interpolated linearly in the rate, so the
-// figure moves smoothly instead of jumping a whole rung between runs. A
-// rate failing on errors alone ends the search at the rate below it; a
-// reference rate over the limit is scaled down by limit/p90.
+// maxRate is serve_max_rps: the rate at which the p90 latency reaches
+// the workload's limit, read off the ladder. The reference rate counts as
+// the ladder's lowest rate; every rate is served more than once. Latency
+// counts from the due time, so a backlog that grows over a rung raises
+// its p90 too, and a rung with a failed request misses the limit. Near
+// saturation one stall (an epoch seal, a GC cycle, the host stealing the
+// CPU) decides a good share of a short rung, so single rungs read the
+// p90 with much noise and need not rise with the rate. The figure
+// therefore comes from all rungs at once: log(p90) is fitted by the
+// closest curve that does not fall as the rate rises (isotonic
+// regression, which pools neighbouring rates that disagree into their
+// mean), and serve_max_rps is the rate where that curve crosses the
+// limit, interpolated linearly between the rates. It is 0 if the
+// reference rate misses the limit and the top rate if no rate does.
 func maxRate(s spec, rungs []*served, rep *report) float64 {
-	type level struct {
-		rate, p90 float64
-		pass      bool
-	}
-	var levels []level
-	for _, rate := range append([]float64{s.refRate}, s.ladder...) {
-		var p90s []float64
-		ok := true
+	rates := append([]float64{s.refRate}, s.ladder...)
+	// Mean log(p90) of each rate's rungs, and the rung count.
+	logP90 := make([]float64, len(rates))
+	count := make([]int, len(rates))
+	for i, rate := range rates {
 		for _, sv := range rungs {
 			r := sv.rung
 			if r.rate != rate {
 				continue
 			}
-			w := windowPercentiles(r.latency, 0.90)
-			p90s = append(p90s, w...)
-			ok = ok && r.failed == 0
-			rep.note("rung %4.0f req/s: p50 %8.3f ms, p90 %9.3f ms (window median %9.3f), late p99 %8.3f ms, backlog max %d end %d, failed %d, achieved %.0f req/s",
-				r.rate, ms(percentile(r.latency, 0.5)), ms(percentile(r.latency, 0.9)), median(w), ms(percentile(r.late, 0.99)),
+			p90 := ms(percentile(r.latency, 0.90))
+			if r.failed > 0 {
+				p90 = math.Inf(1)
+			}
+			logP90[i] += math.Log(p90)
+			count[i]++
+			rep.note("rung %4.0f req/s: p50 %8.3f ms, p90 %9.3f ms, late p99 %8.3f ms, backlog max %d end %d, failed %d, achieved %.0f req/s",
+				r.rate, ms(percentile(r.latency, 0.5)), p90, ms(percentile(r.late, 0.99)),
 				r.backlogMax, r.backlogEnd, r.failed, float64(r.sent)/r.wall.Seconds())
 		}
-		p90 := median(p90s)
-		if len(levels) > 0 {
-			p90 = max(p90, levels[len(levels)-1].p90)
-		}
-		levels = append(levels, level{rate, p90, ok && p90 <= limitMS})
+		logP90[i] /= float64(count[i])
 	}
-	best := 0.0
-	for k, l := range levels {
-		if l.pass {
-			best = l.rate
-			continue
-		}
-		switch {
-		case l.p90 <= limitMS:
-			// Failed on errors alone: the rate below stands.
-		case k > 0:
-			prev := levels[k-1]
-			lo, hi := math.Log(prev.p90), math.Log(l.p90)
-			best = prev.rate + (math.Log(limitMS)-lo)/(hi-lo)*(l.rate-prev.rate)
-		default:
-			// Even the reference rate misses the limit (a host short of
-			// CPU): scale it down by how far its p90 is over the limit,
-			// so the figure stays a rate rather than collapsing to 0.
-			best = l.rate * limitMS / l.p90
-		}
-		break
+
+	// Pool adjacent violators: merge neighbouring blocks of rates while
+	// a block's mean exceeds the next one's.
+	type block struct {
+		sum   float64 // log(p90) summed over the block's rungs
+		n     int     // rungs in the block
+		first int     // index of the block's lowest rate
 	}
-	return best
+	var blocks []block
+	for i := range rates {
+		blocks = append(blocks, block{logP90[i] * float64(count[i]), count[i], i})
+		for len(blocks) > 1 {
+			a, b := blocks[len(blocks)-2], blocks[len(blocks)-1]
+			if a.sum/float64(a.n) <= b.sum/float64(b.n) {
+				break
+			}
+			blocks = append(blocks[:len(blocks)-2], block{a.sum + b.sum, a.n + b.n, a.first})
+		}
+	}
+	fit := make([]float64, len(rates))
+	for k, b := range blocks {
+		end := len(rates)
+		if k+1 < len(blocks) {
+			end = blocks[k+1].first
+		}
+		for i := b.first; i < end; i++ {
+			fit[i] = b.sum / float64(b.n)
+		}
+	}
+	var curve []string
+	for i, rate := range rates {
+		curve = append(curve, fmt.Sprintf("%.0f: %.3f", rate, math.Exp(fit[i])))
+	}
+	rep.note("fitted p90 (ms) by rate (req/s): %s", strings.Join(curve, ", "))
+
+	limit := math.Log(limitMS)
+	if fit[0] > limit {
+		return 0
+	}
+	for i := 0; i+1 < len(rates); i++ {
+		if fit[i+1] > limit {
+			return rates[i] + (limit-fit[i])/(fit[i+1]-fit[i])*(rates[i+1]-rates[i])
+		}
+	}
+	return rates[len(rates)-1]
 }
 
 // windowRequests sizes the windows the latency metrics are taken over.
@@ -321,6 +327,18 @@ func windowPercentiles(lat []time.Duration, q float64) []float64 {
 	out := make([]float64, k)
 	for i := range out {
 		out[i] = ms(percentile(lat[i*len(lat)/k:(i+1)*len(lat)/k], q))
+	}
+	return out
+}
+
+// bestPerWindow takes, window by window, the lowest of the rungs'
+// readings of that window.
+func bestPerWindow(rungs [][]float64) []float64 {
+	out := slices.Clone(rungs[0])
+	for _, r := range rungs[1:] {
+		for i := range out {
+			out[i] = min(out[i], r[i])
+		}
 	}
 	return out
 }
@@ -345,7 +363,7 @@ func runTraced(ctx context.Context, s spec, seed int64, seconds int, work string
 	if _, err := warmUp(st, filepath.Join(work, "warm-up")); err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
-	plain, err := serveRung(ctx, st, prog, rate, filepath.Join(work, "plain"), nil, nil, 1, rep)
+	plain, err := serveRung(ctx, st, prog, rate, filepath.Join(work, "plain"), nil, nil, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +373,7 @@ func runTraced(ctx context.Context, s spec, seed int64, seconds int, work string
 	spans := newSpanTable(n)
 	obs := newPhaseObserver()
 	m0 := readRuntime()
-	tr, err := serveRung(ctx, st, prog, rate, dir, spans, obs, 1, rep)
+	tr, err := serveRung(ctx, st, prog, rate, dir, spans, obs, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -469,32 +487,28 @@ func runTraced(ctx context.Context, s spec, seed int64, seconds int, work string
 	rep.add("trace.audit_overhead_pct", "pct", 100*(plainRate/tracedRate-1))
 
 	// Reconciliation. Transport is the client's service time less the
-	// collector's span, so the serve layers add up by construction; the
-	// check is that every request left nested spans on one clock.
+	// collector's span, so the serve layers add up by construction; what
+	// is checked is that every request left its spans and that they nest
+	// on one clock. The audit's parts must add up to the decomposition
+	// pass's wall time within auditMarginPct.
 	layers := mean(collSelf) + mean(process) + mean(transport)
-	serveGap := 100 * (mean(service) - layers) / mean(service)
 	parts := dec.load + dec.phases + dec.handoff
 	auditGap := 100 * float64(dec.wall-parts) / float64(dec.wall)
 	rep.add("reconcile.audit_gap_pct", "pct", auditGap)
-	rep.note("reconcile serve: collector %.1f + executor %.1f + transport %.1f = %.1f us vs client service %.1f us (gap %.2f%%, margin %.0f%%; %d of %d requests unmatched, %d with unnested spans): %s",
-		mean(collSelf), mean(process), mean(transport), layers, mean(service), serveGap, serveMarginPct, unmatched, len(r.latency), unnested,
-		passFail(math.Abs(serveGap) <= serveMarginPct && unmatched == 0 && unnested == 0))
-	rep.note("reconcile audit: load %.1f + phases %.1f + hand-off %.1f = %.1f ms vs sequential chain audit %.1f ms (gap %.2f%%, margin %.0f%%): %s; verifier outside phases %.1f ms; production DrainSealed %.1f ms",
+	rep.check(unmatched == 0 && unnested == 0, "reconcile serve: collector %.1f + executor %.1f + transport %.1f = %.1f us = client service %.1f us; %d of %d requests without spans, %d with unnested spans",
+		mean(collSelf), mean(process), mean(transport), layers, mean(service), unmatched, len(r.latency), unnested)
+	rep.check(math.Abs(auditGap) <= auditMarginPct, "reconcile audit: load %.1f + phases %.1f + hand-off %.1f = %.1f ms vs sequential chain audit %.1f ms (gap %.2f%%, margin %.0f%%); verifier outside phases %.1f ms; production DrainSealed %.1f ms",
 		ms(dec.load), ms(dec.phases), ms(dec.handoff), ms(parts), ms(dec.wall), auditGap, auditMarginPct,
-		passFail(math.Abs(auditGap) <= auditMarginPct), ms(dec.verify-dec.phases), ms(tr.audit.wall))
+		ms(dec.verify-dec.phases), ms(tr.audit.wall))
 	rep.note("tracing overhead: serve CPU %.1f -> %.1f us/req, audit %.0f -> %.0f req/s", plainCPU, tracedCPU, plainRate, tracedRate)
 	rep.note("untraced at %.0f req/s: p50 %.3f ms, p90 %.3f ms", rate, ms(percentile(plain.rung.latency, 0.5)), ms(percentile(plain.rung.latency, 0.9)))
 	return rep, nil
 }
 
-// Reconciliation margins: the per-request layer spans must add up to
-// the client's service time within serveMarginPct, and the sequential
-// audit's load, phases and hand-off to its wall time within
-// auditMarginPct.
-const (
-	serveMarginPct = 2.0
-	auditMarginPct = 10.0
-)
+// auditMarginPct is the reconciliation margin of the audit: the
+// sequential pass's load, phases and hand-off must add up to its wall
+// time within this share.
+const auditMarginPct = 10.0
 
 // recordOverhead serves the stream sequentially through server.Process
 // on two fresh servers, recording on and off, alternating twice and
@@ -534,13 +548,6 @@ const recordRequests = 1000
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 func us(d time.Duration) float64 { return float64(d) / 1e3 }
-
-func passFail(ok bool) string {
-	if ok {
-		return "pass"
-	}
-	return "FAIL"
-}
 
 func floats(xs []float64, prec int) string {
 	out := ""

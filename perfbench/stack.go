@@ -8,9 +8,8 @@ import (
 	"hash/fnv"
 	"net"
 	"net/http"
-	"os"
+	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -53,8 +52,13 @@ type stack struct {
 // startStack compiles the program, loads schema and seed, starts the
 // epoch chain and the listener, and sends the stream's first request as
 // the warm-up. Everything it does until that response arrives is the
-// benchmark's set-up time.
+// benchmark's set-up time. It first collects the heap and returns the
+// freed memory to the OS, outside the timing, so that the previous stack
+// and its audit, now garbage, leave neither a collection cycle nor the
+// runtime's background scavenging running into this one's set-up and
+// serving.
 func startStack(w *workload.Workload, warm wireReq, dir string, o stackOptions) (*stack, time.Duration, error) {
+	debug.FreeOSMemory()
 	start := time.Now()
 	prog, err := lang.Compile(w.App.Sources)
 	if err != nil {
@@ -243,37 +247,4 @@ func peakRSSMB() float64 {
 		return 0
 	}
 	return float64(ru.Maxrss) / 1024 // Linux reports KiB
-}
-
-// hostCPU reads the host's cumulative CPU jiffies from /proc/stat:
-// steal and total. It returns zeros where /proc/stat is unavailable.
-func hostCPU() [2]uint64 {
-	data, err := os.ReadFile("/proc/stat")
-	if err != nil {
-		return [2]uint64{}
-	}
-	line, _, _ := strings.Cut(string(data), "\n")
-	fields := strings.Fields(line)
-	if len(fields) < 9 || fields[0] != "cpu" {
-		return [2]uint64{}
-	}
-	var out [2]uint64
-	for i, f := range fields[1:] {
-		v, _ := strconv.ParseUint(f, 10, 64)
-		out[1] += v
-		if i == 7 { // user nice system idle iowait irq softirq steal
-			out[0] = v
-		}
-	}
-	return out
-}
-
-// stealShare is the percentage of host CPU time stolen by the
-// hypervisor between two hostCPU readings — a diagnostic for runs whose
-// figures stray.
-func stealShare(a, b [2]uint64) (float64, bool) {
-	if b[1] <= a[1] {
-		return 0, false
-	}
-	return 100 * float64(b[0]-a[0]) / float64(b[1]-a[1]), true
 }

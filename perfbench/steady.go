@@ -31,12 +31,13 @@ type runResult struct {
 	} `json:"metrics"`
 }
 
-// steadiness runs the workload k times, one process per run with seeds
-// seed..seed+k-1, and prints each end-to-end metric's median, quartiles
-// and spread — (q3 - q1) / median — next to its bound. A spread under a
-// third of the bound is the target; setup_s is reported but has no
-// spread target of its own.
-func steadiness(name string, seed int64, seconds, k int) error {
+// steadiness runs the workload k times, one process per run, and prints
+// each end-to-end metric's median, quartiles and spread — (q3 - q1) /
+// median — next to its bound. Every run uses seed, so the spread is the
+// run-to-run noise alone; with sweep the runs use seeds seed..seed+k-1,
+// so it adds the differences between the seeds' inputs. A spread under
+// a third of the bound is the target.
+func steadiness(name string, seed int64, seconds, k int, sweep bool) error {
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("steadiness mode reads the bounds from BENCHMARK.json in the working directory: %w", err)
@@ -52,7 +53,10 @@ func steadiness(name string, seed int64, seconds, k int) error {
 	values := map[string][]float64{}
 	incorrect := 0
 	for i := 0; i < k; i++ {
-		s := seed + int64(i)
+		s := seed
+		if sweep {
+			s += int64(i)
+		}
 		cmd := exec.Command(self, "--workload", name, "--seed", fmt.Sprint(s), "--seconds", fmt.Sprint(seconds), "--trace", "0")
 		var out bytes.Buffer
 		cmd.Stdout = &out
@@ -76,9 +80,13 @@ func steadiness(name string, seed int64, seconds, k int) error {
 			values[m.Name] = append(values[m.Name], v.Value)
 			line = append(line, fmt.Sprintf("%s=%.4g", m.Name, v.Value))
 		}
-		fmt.Printf("seed %d: correct=%v attempted=%d failed=%d %s%s\n", s, res.Correct, res.Attempted, res.Failed, strings.Join(line, " "), stealNote(out.String()))
+		fmt.Printf("run %d, seed %d: correct=%v attempted=%d failed=%d %s\n", i+1, s, res.Correct, res.Attempted, res.Failed, strings.Join(line, " "))
 	}
-	fmt.Printf("\n%s: %d runs, seeds %d..%d, %d incorrect\n", name, k, seed, seed+int64(k)-1, incorrect)
+	seeds := fmt.Sprintf("seed %d", seed)
+	if sweep {
+		seeds = fmt.Sprintf("seeds %d..%d", seed, seed+int64(k)-1)
+	}
+	fmt.Printf("\n%s: %d runs, %s, %d incorrect\n", name, k, seeds, incorrect)
 	fmt.Printf("%-24s %12s %12s %12s %8s %8s %s\n", "metric", "q1", "median", "q3", "spread", "bound", "spread < bound/3")
 	for _, m := range bf.EndToEnd {
 		q1, q2, q3 := quartiles(values[m.Name])
@@ -86,9 +94,6 @@ func steadiness(name string, seed int64, seconds, k int) error {
 		verdict := "yes"
 		if spread >= m.Bound/3 {
 			verdict = "NO"
-		}
-		if m.Name == "setup_s" {
-			verdict += " (not gated)"
 		}
 		fmt.Printf("%-24s %12.4f %12.4f %12.4f %7.1f%% %7.0f%% %s\n", m.Name, q1, q2, q3, 100*spread, 100*m.Bound, verdict)
 	}
@@ -110,15 +115,4 @@ func lastResult(out string) (runResult, error) {
 		return r, fmt.Errorf("no result line: %w", err)
 	}
 	return r, nil
-}
-
-// stealNote picks the run's host CPU steal diagnostic out of its
-// output, so that a straying run can be told apart from a busy host.
-func stealNote(out string) string {
-	for _, l := range strings.Split(out, "\n") {
-		if strings.HasPrefix(l, "host CPU steal") {
-			return " (" + l + ")"
-		}
-	}
-	return ""
 }

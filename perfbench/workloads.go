@@ -23,24 +23,22 @@ type spec struct {
 	// serve_cpu_us_per_req are measured there.
 	refRate float64
 	// ladder holds the higher rates (req/s), ascending, that bracket
-	// the workload's serve_max_rps on a 2-core host.
+	// the workload's serve_max_rps on a 2-core host, from a quiet host
+	// to one losing a fifth of its CPU to steal: the fitted curve is
+	// read between rungs, so a knee below the first ladder rate or above
+	// the last would be read from too wide a gap or not at all.
 	ladder []float64
 	build  func(seed int64, n int) *workload.Workload
 }
 
 var specs = []spec{
-	{name: "wiki", refRate: 200, ladder: []float64{550, 800, 1050, 1300}, build: buildWiki},
-	{name: "forum", refRate: 250, ladder: []float64{800, 1050, 1300, 1550}, build: buildForum},
-	{name: "hotcrp", refRate: 150, ladder: []float64{400, 550, 700, 850}, build: buildHotCRP},
+	{name: "wiki", refRate: 250, ladder: []float64{700, 900, 1100, 1300}, build: buildWiki},
+	{name: "forum", refRate: 250, ladder: []float64{850, 1050, 1250, 1450}, build: buildForum},
+	{name: "hotcrp", refRate: 150, ladder: []float64{300, 400, 500, 600}, build: buildHotCRP},
 }
 
-// limitMS is the p90 latency limit a rate must meet to count toward
-// serve_max_rps.
-const limitMS = 25.0
-
-// refRungs is how many times a run serves the reference rate; the
-// schedule spreads them across the run.
-const refRungs = 3
+// limitMS is the p90 latency limit at which serve_max_rps is read.
+const limitMS = 50.0
 
 func specByName(name string) (spec, error) {
 	for _, s := range specs {
@@ -52,21 +50,19 @@ func specByName(name string) (spec, error) {
 }
 
 // schedule is the order in which a run serves its rungs: the reference
-// rate interleaved with the ladder, as in ref, L1, ref, L2, ref, L3, L4.
+// rate at the start, middle and end, with the ladder climbed between
+// the first two and descended between the last two, as in
+// ref, L1, L2, L3, L4, ref, L4, L3, L2, L1, ref. Every rate is served
+// early and late in the run, so a slow stretch of the host hits one of
+// its rungs rather than all of them.
 func (s spec) schedule() []float64 {
 	out := []float64{s.refRate}
-	refs := 1
-	for _, r := range s.ladder {
-		out = append(out, r)
-		if refs < refRungs {
-			out = append(out, s.refRate)
-			refs++
-		}
+	out = append(out, s.ladder...)
+	out = append(out, s.refRate)
+	for i := len(s.ladder) - 1; i >= 0; i-- {
+		out = append(out, s.ladder[i])
 	}
-	for ; refs < refRungs; refs++ {
-		out = append(out, s.refRate)
-	}
-	return out
+	return append(out, s.refRate)
 }
 
 // requestsFor sizes one rung's request stream so that serving the whole
@@ -102,15 +98,42 @@ func buildForum(seed int64, n int) *workload.Workload {
 // buildHotCRP is the paper's HotCRP mix in its paper order —
 // submissions with 1–20 updates, two versions of three reviews per
 // paper, then reviewer browsing — shrunk to n requests. It keeps the
-// paper's reviewers per paper but has one paper per 60 requests, not
-// per ~194: with the handful of papers the paper's ratio leaves at this
-// size, the random update counts would swing the write burst, and with
-// it the stored bytes per request, by ±20% from seed to seed.
+// paper's update counts and reviewers per paper, but sizes the
+// conference so that its writes (submissions, updates and reviews) come
+// closest to hotcrpWriteShare of the stream. At this size a conference
+// has a dozen papers, and with a fixed paper count their random update
+// counts would swing the write burst, and with it the bytes stored per
+// request, by ±11% from seed to seed.
 func buildHotCRP(seed int64, n int) *workload.Workload {
+	target := int(hotcrpWriteShare * float64(n))
+	var best *workload.Workload
+	bestGap := n
+	for papers := max(3, n/90); papers <= max(3, n/40); papers++ {
+		w := hotcrpConference(seed, n, papers)
+		writes := 0
+		for _, in := range w.Requests {
+			if in.Script == "submit" || in.Script == "review" {
+				writes++
+			}
+		}
+		if gap := abs(writes - target); gap < bestGap {
+			best, bestGap = w, gap
+		}
+	}
+	return best
+}
+
+// hotcrpWriteShare is the share of writes in the HotCRP stream: the
+// expected share with one paper per 60 requests.
+const hotcrpWriteShare = 0.3
+
+// hotcrpConference is the HotCRP mix with the given number of papers,
+// cut to its first n requests.
+func hotcrpConference(seed int64, n, papers int) *workload.Workload {
 	def := workload.DefaultHotCRPParams()
 	p := def
 	p.Seed = seed
-	p.Papers = max(3, n/60)
+	p.Papers = papers
 	p.Reviewers = max(3, p.Papers*def.Reviewers/def.Papers)
 	// Enough views that the stream reaches n after the write burst;
 	// the tail of the browsing phase is cut off below.
@@ -120,6 +143,13 @@ func buildHotCRP(seed int64, n int) *workload.Workload {
 		w.Requests = w.Requests[:n]
 	}
 	return w
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // wireReq is one request as it goes on the wire. Rendering every
