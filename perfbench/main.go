@@ -8,10 +8,10 @@
 // every metric by name and unit. The last line of standard output is
 // one JSON object: {"correct", "attempted", "failed", "metrics"}.
 //
-//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 26 --trace 0
-//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 26 --trace 1
-//	bash perfbench/run.sh --workload forum --seed 1 --seconds 26 --steady 10
-//	bash perfbench/run.sh --workload forum --seed 1 --seconds 26 --steady 10 --sweep
+//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 28 --trace 0
+//	bash perfbench/run.sh --workload wiki --seed 1 --seconds 28 --trace 1
+//	bash perfbench/run.sh --workload forum --seed 1 --seconds 28 --steady 10
+//	bash perfbench/run.sh --workload forum --seed 1 --seconds 28 --steady 10 --sweep
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 runs the traced
 // variant and prints the per-layer metrics. --steady k runs the
@@ -33,7 +33,7 @@ import (
 func main() {
 	name := flag.String("workload", "wiki", "workload: wiki, forum or hotcrp")
 	seed := flag.Int64("seed", 1, "workload seed: the request stream and its arrival times derive from it")
-	seconds := flag.Int("seconds", 26, "nominal serving time of the run's schedule of rates; fixes the stream length")
+	seconds := flag.Int("seconds", 28, "nominal serving time of the run's schedule of rates; fixes the stream length")
 	traced := flag.Int("trace", 0, "1 = traced run printing the per-layer metrics")
 	steady := flag.Int("steady", 0, "run the workload this many times with --seed and print each end-to-end metric's spread")
 	sweep := flag.Bool("sweep", false, "with --steady, give the runs consecutive seeds from --seed on")

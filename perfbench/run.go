@@ -234,13 +234,16 @@ func runServeAudit(ctx context.Context, s spec, seed int64, seconds int, work st
 
 // maxRate is serve_max_rps: the rate at which the p90 latency reaches
 // the workload's limit, read off the ladder. The reference rate counts as
-// the ladder's lowest rate; every rate is served more than once. Latency
-// counts from the due time, so a backlog that grows over a rung raises
-// its p90 too, and a rung with a failed request misses the limit. Near
-// saturation one stall (an epoch seal, a GC cycle, the host stealing the
-// CPU) decides a good share of a short rung, so single rungs read the
-// p90 with much noise and need not rise with the rate. The figure
-// therefore comes from all rungs at once: log(p90) is fitted by the
+// the ladder's lowest rate. Latency counts from the due time, so a
+// backlog that grows over a rung raises its p90 too. Near saturation a
+// rung either keeps up or falls behind, and which one it does turns on
+// how fast the host runs during its second or so: a slow stretch (CPU
+// steal, a neighbour) only ever raises a rung's p90, and a fast one
+// lowers it. Each rate is served four times, early, midway and late in
+// the run, and reads as the mean log(p90) of its two best rungs: the
+// two slowest are set aside as the host's, and a single lucky rung does
+// not decide the rate. A rate with a failed request misses the limit.
+// Those readings need not rise with the rate, so they are fitted by the
 // closest curve that does not fall as the rate rises (isotonic
 // regression, which pools neighbouring rates that disagree into their
 // mean), and serve_max_rps is the rate where that curve crosses the
@@ -248,61 +251,34 @@ func runServeAudit(ctx context.Context, s spec, seed int64, seconds int, work st
 // reference rate misses the limit and the top rate if no rate does.
 func maxRate(s spec, rungs []*served, rep *report) float64 {
 	rates := append([]float64{s.refRate}, s.ladder...)
-	// Mean log(p90) of each rate's rungs, and the rung count.
-	logP90 := make([]float64, len(rates))
-	count := make([]int, len(rates))
+	level := make([]float64, len(rates)) // each rate's reading, in log(ms)
 	for i, rate := range rates {
+		var logs []float64
+		failed := false
 		for _, sv := range rungs {
 			r := sv.rung
 			if r.rate != rate {
 				continue
 			}
 			p90 := ms(percentile(r.latency, 0.90))
-			if r.failed > 0 {
-				p90 = math.Inf(1)
-			}
-			logP90[i] += math.Log(p90)
-			count[i]++
+			logs = append(logs, math.Log(p90))
+			failed = failed || r.failed > 0
 			rep.note("rung %4.0f req/s: p50 %8.3f ms, p90 %9.3f ms, late p99 %8.3f ms, backlog max %d end %d, failed %d, achieved %.0f req/s",
 				r.rate, ms(percentile(r.latency, 0.5)), p90, ms(percentile(r.late, 0.99)),
 				r.backlogMax, r.backlogEnd, r.failed, float64(r.sent)/r.wall.Seconds())
 		}
-		logP90[i] /= float64(count[i])
-	}
-
-	// Pool adjacent violators: merge neighbouring blocks of rates while
-	// a block's mean exceeds the next one's.
-	type block struct {
-		sum   float64 // log(p90) summed over the block's rungs
-		n     int     // rungs in the block
-		first int     // index of the block's lowest rate
-	}
-	var blocks []block
-	for i := range rates {
-		blocks = append(blocks, block{logP90[i] * float64(count[i]), count[i], i})
-		for len(blocks) > 1 {
-			a, b := blocks[len(blocks)-2], blocks[len(blocks)-1]
-			if a.sum/float64(a.n) <= b.sum/float64(b.n) {
-				break
-			}
-			blocks = append(blocks[:len(blocks)-2], block{a.sum + b.sum, a.n + b.n, a.first})
+		slices.Sort(logs)
+		level[i] = mean(logs[:min(2, len(logs))])
+		if failed {
+			level[i] = math.Inf(1)
 		}
 	}
-	fit := make([]float64, len(rates))
-	for k, b := range blocks {
-		end := len(rates)
-		if k+1 < len(blocks) {
-			end = blocks[k+1].first
-		}
-		for i := b.first; i < end; i++ {
-			fit[i] = b.sum / float64(b.n)
-		}
-	}
+	fit := nonDecreasing(level)
 	var curve []string
 	for i, rate := range rates {
 		curve = append(curve, fmt.Sprintf("%.0f: %.3f", rate, math.Exp(fit[i])))
 	}
-	rep.note("fitted p90 (ms) by rate (req/s): %s", strings.Join(curve, ", "))
+	rep.note("fitted p90 of the two best rungs (ms) by rate (req/s): %s", strings.Join(curve, ", "))
 
 	limit := math.Log(limitMS)
 	if fit[0] > limit {
@@ -316,8 +292,39 @@ func maxRate(s spec, rungs []*served, rep *report) float64 {
 	return rates[len(rates)-1]
 }
 
+// nonDecreasing is the isotonic regression of ys: the non-decreasing
+// sequence closest to ys in least squares. Adjacent values that fall
+// are pooled into their mean until none does.
+func nonDecreasing(ys []float64) []float64 {
+	type block struct {
+		sum   float64 // the block's values summed
+		n     int     // values in the block
+		first int     // index of the block's first value
+	}
+	var blocks []block
+	for i, y := range ys {
+		blocks = append(blocks, block{y, 1, i})
+		for len(blocks) > 1 {
+			a, b := blocks[len(blocks)-2], blocks[len(blocks)-1]
+			if a.sum/float64(a.n) <= b.sum/float64(b.n) {
+				break
+			}
+			blocks = append(blocks[:len(blocks)-2], block{a.sum + b.sum, a.n + b.n, a.first})
+		}
+	}
+	fit := make([]float64, len(ys))
+	for _, b := range blocks {
+		for i := b.first; i < b.first+b.n; i++ {
+			fit[i] = b.sum / float64(b.n)
+		}
+	}
+	return fit
+}
+
 // windowRequests sizes the windows the latency metrics are taken over.
-const windowRequests = 250
+// Short windows give the median over windows many readings, so a stall
+// that spoils the same window of two reference rungs moves it little.
+const windowRequests = 50
 
 // windowPercentiles splits a rung's latencies, in request order, into
 // equal windows of about windowRequests and returns each window's

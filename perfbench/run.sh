@@ -3,8 +3,8 @@
 # checkout root. Every build and run artifact (Go build cache, binary,
 # chain directories) stays under .bench_build/ in the checkout.
 #
-#   bash perfbench/run.sh --workload wiki --seed 1 --seconds 26 --trace 0
-#   bash perfbench/run.sh --workload hotcrp --seed 1 --seconds 26 --steady 10
+#   bash perfbench/run.sh --workload wiki --seed 1 --seconds 28 --trace 0
+#   bash perfbench/run.sh --workload hotcrp --seed 1 --seconds 28 --steady 10
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -23,18 +23,19 @@ type spec struct {
 	// serve_cpu_us_per_req are measured there.
 	refRate float64
 	// ladder holds the higher rates (req/s), ascending, that bracket
-	// the workload's serve_max_rps on a 2-core host, from a quiet host
-	// to one losing a fifth of its CPU to steal: the fitted curve is
+	// the workload's serve_max_rps on a 2-core host: the fitted curve is
 	// read between rungs, so a knee below the first ladder rate or above
-	// the last would be read from too wide a gap or not at all.
+	// the last would be read from too wide a gap or not at all. As each
+	// rate reads as its two best rungs, the knee sits near what the host
+	// serves in its faster stretches.
 	ladder []float64
 	build  func(seed int64, n int) *workload.Workload
 }
 
 var specs = []spec{
-	{name: "wiki", refRate: 250, ladder: []float64{700, 900, 1100, 1300}, build: buildWiki},
-	{name: "forum", refRate: 250, ladder: []float64{850, 1050, 1250, 1450}, build: buildForum},
-	{name: "hotcrp", refRate: 150, ladder: []float64{300, 400, 500, 600}, build: buildHotCRP},
+	{name: "wiki", refRate: 250, ladder: []float64{900, 1100, 1300, 1500}, build: buildWiki},
+	{name: "forum", refRate: 250, ladder: []float64{1100, 1300, 1500, 1700}, build: buildForum},
+	{name: "hotcrp", refRate: 150, ladder: []float64{450, 575, 700, 825}, build: buildHotCRP},
 }
 
 // limitMS is the p90 latency limit at which serve_max_rps is read.
@@ -49,20 +50,26 @@ func specByName(name string) (spec, error) {
 	return spec{}, fmt.Errorf("unknown workload %q (want wiki, forum or hotcrp)", name)
 }
 
-// schedule is the order in which a run serves its rungs: the reference
-// rate at the start, middle and end, with the ladder climbed between
-// the first two and descended between the last two, as in
-// ref, L1, L2, L3, L4, ref, L4, L3, L2, L1, ref. Every rate is served
-// early and late in the run, so a slow stretch of the host hits one of
-// its rungs rather than all of them.
+// schedule is the order in which a run serves its rungs: the ladder
+// four times, climbing and descending in turn, with the reference rate
+// before each of the first three passes, as in
+// ref, L1..L4, ref, L4..L1, ref, L1..L4, L4..L1. Every rate is served
+// early, midway and late in the run, so a slow stretch of the host
+// hits some of its rungs rather than all of them.
 func (s spec) schedule() []float64 {
-	out := []float64{s.refRate}
-	out = append(out, s.ladder...)
-	out = append(out, s.refRate)
-	for i := len(s.ladder) - 1; i >= 0; i-- {
-		out = append(out, s.ladder[i])
+	var out []float64
+	for pass := 0; pass < 4; pass++ {
+		if pass < 3 {
+			out = append(out, s.refRate)
+		}
+		for i := range s.ladder {
+			if pass%2 == 1 {
+				i = len(s.ladder) - 1 - i
+			}
+			out = append(out, s.ladder[i])
+		}
 	}
-	return append(out, s.refRate)
+	return out
 }
 
 // requestsFor sizes one rung's request stream so that serving the whole
